@@ -18,9 +18,12 @@
 #include "linalg/ops.hpp"
 #include "linalg/simd.hpp"
 #include "models/generator.hpp"
+#include "net/client.hpp"
+#include "net/rest.hpp"
 #include "serve/replay.hpp"
 #include "tabular/table.hpp"
 #include "util/json.hpp"
+#include "util/json_parse.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -136,6 +139,70 @@ tabular::Table pinned_table(std::size_t n) {
   return t;
 }
 
+/// A fixed job page's worth of rows: 1000 rows of 5 numerical and 4
+/// categorical columns (vocabularies of 3 to 40 labels), the shape of a
+/// served PanDA sample.
+tabular::Table page_table() {
+  tabular::Schema schema({{"cores", tabular::ColumnKind::kNumerical},
+                          {"site", tabular::ColumnKind::kCategorical},
+                          {"walltime", tabular::ColumnKind::kNumerical},
+                          {"status", tabular::ColumnKind::kCategorical},
+                          {"inputbytes", tabular::ColumnKind::kNumerical},
+                          {"gshare", tabular::ColumnKind::kCategorical},
+                          {"cputime", tabular::ColumnKind::kNumerical},
+                          {"priority", tabular::ColumnKind::kNumerical},
+                          {"label", tabular::ColumnKind::kCategorical}});
+  tabular::Table t(schema);
+  util::Rng rng(2025);
+  for (std::size_t i = 0; i < 1000; ++i) {
+    auto row = t.make_row();
+    row.set(0, rng.normal(8.0, 3.0));
+    row.set(1, "SITE_" + std::to_string(rng.uniform_index(40)));
+    row.set(2, rng.normal(3600.0, 900.0));
+    row.set(3, std::string(rng.bernoulli(0.8) ? "finished" : "failed"));
+    row.set(4, rng.normal(2.0e9, 5.0e8));
+    row.set(5, "share_" + std::to_string(rng.uniform_index(12)));
+    row.set(6, rng.normal(1.0e4, 2.0e3));
+    row.set(7, rng.normal(900.0, 50.0));
+    row.set(8, std::string(rng.bernoulli(0.5) ? "user" : "managed"));
+    t.append_row(row);
+  }
+  return t;
+}
+
+/// The job page's row codec: encode writes the "data" array the server
+/// sends, decode streams it back into a Table as the client does. Both are
+/// reported in MB/s of page bytes. A pass takes well under a millisecond,
+/// so the best is taken over ten times the kernel repetitions.
+void run_page_codec(const Scenario& sc, const std::string& backend,
+                    std::vector<KernelRow>& rows) {
+  const tabular::Table table = page_table();
+  const int reps = 10 * sc.reps;
+  std::string page;
+  const double encode_s = best_seconds(reps, [&] {
+    util::JsonWriter w;
+    w.begin_object();
+    w.key("data");
+    net::write_page_rows(w, table, 0, table.num_rows());
+    w.end_object();
+    page = w.take();
+  });
+  tabular::Table decoded;
+  const double decode_s = best_seconds(reps, [&] {
+    decoded = tabular::Table(table.schema());
+    util::JsonReader reader(page);
+    reader.begin_object();
+    std::string key;
+    while (reader.next_key(key)) net::read_page_rows(reader, decoded);  // "data"
+    reader.finish();
+  });
+  const double mb = static_cast<double>(page.size()) / 1e6;
+  rows.push_back({"json_page_encode", backend, encode_s, mb / encode_s,
+                  "mb_per_sec"});
+  rows.push_back({"json_page_decode", backend, decode_s, mb / decode_s,
+                  "mb_per_sec"});
+}
+
 /// All kernel scenarios under the currently forced backend.
 std::vector<KernelRow> run_kernels(const Scenario& sc,
                                    const std::string& backend) {
@@ -220,6 +287,7 @@ std::vector<KernelRow> run_kernels(const Scenario& sc,
     rows.push_back({"jsd_acc", backend, s,
                     static_cast<double>(sc.vec_n) / s, "elems_per_sec"});
   }
+  run_page_codec(sc, backend, rows);
   return rows;
 }
 

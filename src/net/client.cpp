@@ -222,9 +222,21 @@ bool HttpClient::read_response(HttpResponse& out) {
     }
   }
 
-  const std::size_t body_start = header_end + 4;
-  while (buf.size() < body_start + body_len) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+  // The body is received straight into the buffer it is returned in: drop
+  // the head, keep any body bytes that came with it, then fill the rest.
+  buf.erase(0, header_end + 4);
+  if (buf.size() > body_len) {
+    rx_.assign(buf, body_len);
+    buf.resize(body_len);
+  }
+  std::size_t have = buf.size();
+  while (have < body_len) {
+    // Grow with the bytes that actually arrive (a page fits in the first
+    // step), so a lying Content-Length cannot make the client allocate it.
+    if (have == buf.size()) {
+      buf.resize(std::min(body_len, std::max(2 * have, std::size_t{1} << 20)));
+    }
+    const ssize_t n = ::recv(fd_, buf.data() + have, buf.size() - have, 0);
     if (n == 0) {
       throw TransportError(TransportError::Kind::kClosed,
                            "HttpClient: connection closed mid-body");
@@ -239,10 +251,9 @@ bool HttpClient::read_response(HttpResponse& out) {
                            "HttpClient: recv failed: " +
                                std::string(std::strerror(errno)));
     }
-    buf.append(chunk, static_cast<std::size_t>(n));
+    have += static_cast<std::size_t>(n);
   }
-  out.body = buf.substr(body_start, body_len);
-  rx_ = buf.substr(body_start + body_len);
+  out.body = std::move(buf);
 
   if (to_lower(out.headers.count("connection") ? out.headers["connection"]
                                                : "") == "close") {
@@ -312,6 +323,33 @@ auto decode_or_malformed(const char* what, Fn&& fn) {
 }
 
 }  // namespace
+
+void read_page_rows(util::JsonReader& reader, tabular::Table& table) {
+  const tabular::Schema& schema = table.schema();
+  std::vector<double> numbers(schema.numerical_indices().size());
+  std::vector<std::int32_t> codes(schema.categorical_indices().size());
+  std::string label;
+  reader.begin_array();
+  while (reader.next_element()) {
+    reader.begin_array();
+    std::size_t n = 0;
+    std::size_t k = 0;
+    for (std::size_t c = 0; c < schema.num_columns(); ++c) {
+      if (!reader.next_element()) throw std::runtime_error("short row");
+      if (schema.column(c).kind == tabular::ColumnKind::kCategorical) {
+        reader.string(label);
+        codes[k++] = table.intern(c, label);
+      } else if (reader.peek() == util::JsonValue::Kind::kNull) {
+        reader.null();  // null is the JSON image of NaN (and of ±inf)
+        numbers[n++] = std::numeric_limits<double>::quiet_NaN();
+      } else {
+        numbers[n++] = reader.number();
+      }
+    }
+    if (reader.next_element()) throw std::runtime_error("long row");
+    table.append_row_values(numbers, codes);
+  }
+}
 
 ApiClient::ApiClient(std::string host, std::uint16_t port, std::string api_key,
                      double timeout_seconds)
@@ -388,7 +426,6 @@ RemoteResult ApiClient::wait_result(std::uint64_t job_id,
   const std::string base = "/v1/jobs/" + std::to_string(job_id);
   RemoteResult out;
   std::uint64_t cursor = 0;
-  bool have_schema = false;
 
   for (;;) {
     std::string target = base + "?cursor=" + std::to_string(cursor);
@@ -401,55 +438,62 @@ RemoteResult ApiClient::wait_result(std::uint64_t job_id,
     enum class Page { kPending, kMore, kDone };
     std::uint64_t next_cursor = 0;
     const Page page = decode_or_malformed("job page", [&]() -> Page {
-      const auto doc = util::parse_json(response.body);
-      const std::string status = doc.at("status").as_string();
+      // One pass in document order. "schema" precedes "data" (the wire
+      // contract), so rows stream straight into the table; every other
+      // member is small and kept as a DOM value in `head`.
+      util::JsonReader reader(response.body);
+      util::JsonValue head;
+      head.kind = util::JsonValue::Kind::kObject;
+      bool schema_seen = false;
+      bool data_seen = false;
+      std::string key;
+      reader.begin_object();
+      while (reader.next_key(key)) {
+        if (key == "data") {
+          if (!schema_seen) throw std::runtime_error("data before schema");
+          read_page_rows(reader, out.table);
+          data_seen = true;
+        } else if (key == "schema") {
+          const util::JsonValue schema = reader.read_value();
+          schema_seen = true;
+          if (out.pages != 0) continue;  // the first done page set it
+          std::vector<tabular::ColumnSpec> specs;
+          for (const auto& col : schema.array) {
+            tabular::ColumnSpec spec;
+            spec.name = col.at("name").as_string();
+            spec.kind = col.at("kind").as_string() == "numerical"
+                            ? tabular::ColumnKind::kNumerical
+                            : tabular::ColumnKind::kCategorical;
+            specs.push_back(std::move(spec));
+          }
+          out.table = tabular::Table(tabular::Schema(std::move(specs)));
+        } else {
+          head.object.insert_or_assign(key, reader.read_value());
+        }
+      }
+      reader.finish();
+
+      const std::string status = head.at("status").as_string();
+      if (data_seen && status != "done") {
+        throw std::runtime_error("rows on a '" + status + "' page");
+      }
       if (status == "pending") return Page::kPending;  // long-poll timed out
       if (status == "failed") {
-        const auto& err = doc.at("error");
+        const auto& err = head.at("error");
         throw ApiError(200, err.at("code").as_string(),
                        err.at("message").as_string(), -1.0);
       }
-
-      if (!have_schema) {
-        std::vector<tabular::ColumnSpec> specs;
-        for (const auto& col : doc.at("schema").array) {
-          tabular::ColumnSpec spec;
-          spec.name = col.at("name").as_string();
-          spec.kind = col.at("kind").as_string() == "numerical"
-                          ? tabular::ColumnKind::kNumerical
-                          : tabular::ColumnKind::kCategorical;
-          specs.push_back(std::move(spec));
-        }
-        out.table = tabular::Table(tabular::Schema(std::move(specs)));
-        out.model_key = doc.at("model").as_string();
-        out.queue_seconds = doc.number_or("queue_seconds", 0.0);
-        out.sample_seconds = doc.number_or("sample_seconds", 0.0);
-        out.total_seconds = doc.number_or("total_seconds", 0.0);
-        out.cache_hit = doc.has("cache_hit") && doc.at("cache_hit").as_bool();
-        have_schema = true;
-      }
-
-      const auto& schema = out.table.schema();
-      for (const auto& row : doc.at("data").array) {
-        if (row.array.size() != schema.num_columns()) {
-          throw std::runtime_error("row width mismatch");
-        }
-        auto rb = out.table.make_row();
-        for (std::size_t c = 0; c < row.array.size(); ++c) {
-          const auto& cell = row.array[c];
-          if (schema.column(c).kind == tabular::ColumnKind::kNumerical) {
-            // null is the JSON image of NaN (json_number degrades it).
-            rb.set(c, cell.is_null() ? std::numeric_limits<double>::quiet_NaN()
-                                     : cell.as_number());
-          } else {
-            rb.set(c, cell.as_string());
-          }
-        }
-        out.table.append_row(rb);
+      if (!data_seen) throw std::runtime_error("done page without data");
+      if (out.pages == 0) {
+        out.model_key = head.at("model").as_string();
+        out.queue_seconds = head.number_or("queue_seconds", 0.0);
+        out.sample_seconds = head.number_or("sample_seconds", 0.0);
+        out.total_seconds = head.number_or("total_seconds", 0.0);
+        out.cache_hit = head.has("cache_hit") && head.at("cache_hit").as_bool();
       }
       ++out.pages;
 
-      const auto& next = doc.at("next_cursor");
+      const auto& next = head.at("next_cursor");
       if (next.is_null()) return Page::kDone;
       next_cursor = static_cast<std::uint64_t>(next.as_number());
       return Page::kMore;

@@ -26,6 +26,10 @@
 #include "net/http.hpp"
 #include "tabular/table.hpp"
 
+namespace surro::util {
+class JsonReader;
+}
+
 namespace surro::net {
 
 /// The transport failed underneath the REST protocol: the peer was
@@ -144,6 +148,13 @@ struct RemoteResult {
   bool cache_hit = false;
   std::size_t pages = 0;  ///< GET pages it took to drain the result
 };
+
+/// Decode a job page's "data" array (the next value of `reader`) into
+/// `table`, whose schema the page's "schema" already set: numbers through
+/// the reader's number grammar (null becomes NaN), labels interned into
+/// the column vocabularies, one append per row. A short or long row or a
+/// cell of the wrong kind throws; no DOM is built per cell.
+void read_page_rows(util::JsonReader& reader, tabular::Table& table);
 
 /// The REST protocol over one HttpClient connection.
 class ApiClient {

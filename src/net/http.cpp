@@ -291,10 +291,9 @@ void RequestParser::reset() {
   advance();  // pipelined bytes may already complete the next request
 }
 
-std::string serialize_response(const HttpResponse& response,
-                               bool keep_alive) {
+std::string serialize_head(const HttpResponse& response, bool keep_alive) {
   std::string out;
-  out.reserve(response.body.size() + 256);
+  out.reserve(256);
   out += "HTTP/1.1 ";
   out += std::to_string(response.status);
   out += ' ';
@@ -309,7 +308,6 @@ std::string serialize_response(const HttpResponse& response,
   out += "content-length: " + std::to_string(response.body.size()) + "\r\n";
   out += keep_alive ? "connection: keep-alive\r\n" : "connection: close\r\n";
   out += "\r\n";
-  out += response.body;
   return out;
 }
 

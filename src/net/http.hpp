@@ -121,10 +121,12 @@ class RequestParser {
   std::string error_reason_;
 };
 
-/// Serialize a response, stamping Content-Length and Connection headers
-/// (`keep_alive` reflects what the server decided for this connection).
-[[nodiscard]] std::string serialize_response(const HttpResponse& response,
-                                             bool keep_alive);
+/// Serialize a response's status line and headers through the blank line
+/// that ends them, stamping Content-Length and Connection (`keep_alive`
+/// reflects what the server decided for this connection). The body follows
+/// on the wire as is, sent from its own buffer rather than copied in here.
+[[nodiscard]] std::string serialize_head(const HttpResponse& response,
+                                         bool keep_alive);
 
 /// Decode %XX escapes and '+' in a query component (malformed escapes are
 /// kept literally rather than rejected — query strings are advisory).

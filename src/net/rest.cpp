@@ -4,6 +4,7 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -27,7 +28,7 @@ HttpResponse make_error(int status, std::string_view code,
   w.begin_object().key("error").begin_object();
   w.kv("code", code).kv("message", message);
   w.end_object().end_object();
-  HttpResponse response = HttpResponse::json(status, w.str());
+  HttpResponse response = HttpResponse::json(status, w.take());
   if (retry_after_seconds >= 0.0) {
     const auto secs =
         static_cast<long long>(std::ceil(std::max(retry_after_seconds, 0.0)));
@@ -69,6 +70,41 @@ const char* column_kind_name(tabular::ColumnKind kind) noexcept {
 }
 
 }  // namespace
+
+void write_page_rows(JsonWriter& w, const tabular::Table& table,
+                     std::size_t begin, std::size_t end) {
+  const tabular::Schema& schema = table.schema();
+  const std::size_t cols = table.num_columns();
+  std::vector<std::span<const double>> numbers(cols);
+  std::vector<std::span<const std::int32_t>> codes(cols);
+  std::vector<std::vector<std::string>> labels(cols);  // quoted + escaped
+  for (std::size_t c = 0; c < cols; ++c) {
+    if (schema.column(c).kind == tabular::ColumnKind::kNumerical) {
+      numbers[c] = table.numerical(c);
+      continue;
+    }
+    codes[c] = table.categorical(c);
+    for (const auto& label : table.vocabulary(c)) {
+      std::string quoted = "\"";
+      util::append_json_escaped(quoted, label);
+      quoted += '"';
+      labels[c].push_back(std::move(quoted));
+    }
+  }
+  w.begin_array();
+  for (std::size_t r = begin; r < end; ++r) {
+    w.begin_array();
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (schema.column(c).kind == tabular::ColumnKind::kNumerical) {
+        w.value(numbers[c][r]);
+      } else {
+        w.raw(labels[c][static_cast<std::size_t>(codes[c][r])]);
+      }
+    }
+    w.end_array();
+  }
+  w.end_array();
+}
 
 RestApi::RestApi(serve::SampleBackend& service, RestConfig cfg)
     : service_(service),
@@ -191,7 +227,7 @@ HttpResponse RestApi::handle_models() {
   w.end_array();
   w.kv("count", keys.size());
   w.end_object();
-  return HttpResponse::json(200, w.str());
+  return HttpResponse::json(200, w.take());
 }
 
 HttpResponse RestApi::handle_submit(const HttpRequest& request) {
@@ -320,11 +356,11 @@ HttpResponse RestApi::handle_submit(const HttpRequest& request) {
   w.kv("chunk_rows", static_cast<std::uint64_t>(effective_chunk));
   w.kv("location", "/v1/jobs/" + std::to_string(entry->id));
   w.end_object();
-  return HttpResponse::json(202, w.str());
+  return HttpResponse::json(202, w.take());
 }
 
 void RestApi::harvest_locked(JobEntry& entry, double wait_ms) {
-  if (entry.resolved.load()) return;
+  if (entry.resolved) return;
   if (wait_ms > 0.0) {
     entry.future.wait_for(std::chrono::duration<double, std::milli>(wait_ms));
   }
@@ -343,30 +379,15 @@ void RestApi::harvest_locked(JobEntry& entry, double wait_ms) {
     entry.error_code = "execution";
     entry.error_message = e.what();
   }
-  entry.harvest_seq = ++harvest_seq_;
-  entry.resolved.store(true);
-  purge_resolved_overflow();
-}
 
-void RestApi::purge_resolved_overflow() {
   const std::lock_guard<std::mutex> lock(jobs_mutex_);
-  std::size_t resolved = 0;
-  for (const auto& [id, entry] : jobs_) {
-    if (entry->resolved.load()) ++resolved;
-  }
-  while (resolved > cfg_.completed_cap) {
-    // Evict the least recently resolved entry (smallest harvest_seq).
-    auto victim = jobs_.end();
-    for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
-      if (!it->second->resolved.load()) continue;
-      if (victim == jobs_.end() ||
-          it->second->harvest_seq < victim->second->harvest_seq) {
-        victim = it;
-      }
-    }
-    if (victim == jobs_.end()) break;
-    jobs_.erase(victim);
-    --resolved;
+  entry.resolved = true;
+  if (!jobs_.contains(entry.id)) return;  // deleted while it ran
+  entry.resolved_pos = resolved_order_.insert(resolved_order_.end(), entry.id);
+  // Past the cap, purge the least recently resolved jobs.
+  while (resolved_order_.size() > cfg_.completed_cap) {
+    jobs_.erase(resolved_order_.front());
+    resolved_order_.pop_front();
   }
 }
 
@@ -411,7 +432,7 @@ HttpResponse RestApi::handle_job_get(const HttpRequest& request,
   const std::lock_guard<std::mutex> entry_lock(entry->mutex);
   harvest_locked(*entry, wait_ms);
 
-  if (!entry->resolved.load()) {
+  if (!entry->resolved) {
     JsonWriter w;
     w.begin_object();
     w.kv("job_id", std::to_string(id));
@@ -420,7 +441,7 @@ HttpResponse RestApi::handle_job_get(const HttpRequest& request,
     w.kv("rows", static_cast<std::uint64_t>(entry->params.rows));
     w.kv("queue_depth", static_cast<std::uint64_t>(service_.queue_depth()));
     w.end_object();
-    return HttpResponse::json(200, w.str());
+    return HttpResponse::json(200, w.take());
   }
 
   if (entry->failed) {
@@ -434,7 +455,7 @@ HttpResponse RestApi::handle_job_get(const HttpRequest& request,
     w.kv("message", entry->error_message);
     w.end_object();
     w.end_object();
-    return HttpResponse::json(200, w.str());
+    return HttpResponse::json(200, w.take());
   }
 
   const tabular::Table& table = entry->result.table;
@@ -447,6 +468,9 @@ HttpResponse RestApi::handle_job_get(const HttpRequest& request,
   const std::uint64_t end = std::min(total, cursor + limit);
 
   JsonWriter w;
+  // Sized for 24-byte cells (the longest number) so that a typical page is
+  // written into one buffer, never copied as it grows.
+  w.reserve(512 + (end - cursor) * (2 + 25 * table.num_columns()));
   w.begin_object();
   w.kv("job_id", std::to_string(id));
   w.kv("status", "done");
@@ -473,24 +497,12 @@ HttpResponse RestApi::handle_job_get(const HttpRequest& request,
     w.end_object();
   }
   w.end_array();
-  // Cells in schema column order: numerical as exact round-trip numbers
-  // (NaN degrades to null), categorical as labels. This is the payload the
-  // client rebuilds a Table from — the bytes behind the determinism digest.
-  w.key("data").begin_array();
-  for (std::uint64_t r = cursor; r < end; ++r) {
-    w.begin_array();
-    for (std::size_t c = 0; c < table.num_columns(); ++c) {
-      if (table.schema().column(c).kind == tabular::ColumnKind::kNumerical) {
-        w.value(table.numerical(c)[r]);
-      } else {
-        w.value(table.label_at(c, r));
-      }
-    }
-    w.end_array();
-  }
-  w.end_array();
+  // The rows the client rebuilds a Table from — the bytes behind the
+  // determinism digest. "data" comes after "schema" (the wire contract).
+  w.key("data");
+  write_page_rows(w, table, cursor, end);
   w.end_object();
-  return HttpResponse::json(200, w.str());
+  return HttpResponse::json(200, w.take());
 }
 
 HttpResponse RestApi::handle_job_delete(std::uint64_t id) {
@@ -500,6 +512,7 @@ HttpResponse RestApi::handle_job_delete(std::uint64_t id) {
     if (const auto it = jobs_.find(id); it != jobs_.end()) {
       entry = it->second;
       jobs_.erase(it);
+      if (entry->resolved) resolved_order_.erase(entry->resolved_pos);
     }
   }
   if (!entry) {
@@ -514,7 +527,7 @@ HttpResponse RestApi::handle_job_delete(std::uint64_t id) {
   w.kv("status", "deleted");
   w.kv("cancelled", cancelled);
   w.end_object();
-  return HttpResponse::json(200, w.str());
+  return HttpResponse::json(200, w.take());
 }
 
 HttpResponse RestApi::handle_stats() {
@@ -619,7 +632,7 @@ std::string RestApi::stats_json() {
   service_.append_stats_json(w);
 
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 std::size_t RestApi::tracked_jobs() const {

@@ -22,12 +22,14 @@
 // the exact determinism identity of the in-process service — so the bytes
 // a remote client reassembles from paginated pages hash identically to a
 // local sample_into() of the same identity. Seeds are strings on the wire
-// (JSON numbers are doubles; a 64-bit seed must not round).
+// (JSON numbers are doubles; a 64-bit seed must not round). A done page
+// sends "schema" before "data", so a client can decode it in one pass,
+// rows straight into its table's columns (ApiClient::wait_result does).
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,6 +41,10 @@
 #include "serve/latency_window.hpp"
 #include "serve/sample_service.hpp"
 #include "util/timer.hpp"
+
+namespace surro::util {
+class JsonWriter;
+}
 
 namespace surro::net {
 
@@ -62,6 +68,14 @@ struct RestConfig {
   /// Ceiling on the ?wait_ms long-poll a GET /v1/jobs/{id} may request.
   double max_wait_ms = 30'000.0;
 };
+
+/// Write rows [begin, end) of `table` as the next value of `w`: the job
+/// page's "data" array, one array per row with cells in schema column
+/// order. Numerical cells are shortest round-trip numbers (NaN and ±inf
+/// degrade to null); categorical cells are their labels, each column's
+/// vocabulary escaped once per call.
+void write_page_rows(util::JsonWriter& w, const tabular::Table& table,
+                     std::size_t begin, std::size_t end);
 
 class RestApi {
  public:
@@ -101,14 +115,16 @@ class RestApi {
     serve::SampleJob params;
     std::uint64_t id = 0;
     std::future<serve::SampleResult> future;
-    /// Atomic so purge_resolved_overflow() can read it under jobs_mutex_
-    /// alone (taking entry mutexes there would invert the lock order).
-    std::atomic<bool> resolved{false};
+    /// Set under both `mutex` and jobs_mutex_, so either lock suffices to
+    /// read it.
+    bool resolved = false;
     bool failed = false;
     serve::SampleResult result;  // valid when resolved && !failed
     std::string error_code;      // valid when failed
     std::string error_message;
-    std::uint64_t harvest_seq = 0;  // purge order among resolved entries
+    /// This job's place in resolved_order_ (valid while resolved and
+    /// tracked; guarded by jobs_mutex_).
+    std::list<std::uint64_t>::iterator resolved_pos;
   };
 
   HttpResponse dispatch(const HttpRequest& request,
@@ -122,7 +138,6 @@ class RestApi {
   /// Block (bounded) for resolution, then move the outcome into `entry`.
   /// Caller holds entry->mutex.
   void harvest_locked(JobEntry& entry, double wait_ms);
-  void purge_resolved_overflow();
 
   serve::SampleBackend& service_;
   RestConfig cfg_;
@@ -132,7 +147,9 @@ class RestApi {
 
   mutable std::mutex jobs_mutex_;
   std::map<std::uint64_t, std::shared_ptr<JobEntry>> jobs_;
-  std::atomic<std::uint64_t> harvest_seq_{0};
+  /// Ids of the tracked resolved jobs in harvest order: past completed_cap
+  /// the front (least recently resolved) is purged.
+  std::list<std::uint64_t> resolved_order_;
 
   /// Per-route request/error tallies + latency window, keyed by the route
   /// pattern ("POST /v1/sample", ...). Folded into /v1/stats.

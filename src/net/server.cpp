@@ -104,12 +104,14 @@ void HttpServer::stop() {
     // drop out of their keep-alive loops.
     for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  // Closing the listener fails the blocking accept() with EBADF/EINVAL,
-  // which the accept loop treats as the stop signal.
+  // Shutting the listener down fails the blocking accept() with EINVAL,
+  // which the accept loop treats as the stop signal. The fd is closed and
+  // reset only once the acceptor has been joined: it reads listen_fd_ on
+  // every iteration, and a closed fd number could be reused meanwhile.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (acceptor_.joinable()) acceptor_.join();
   pool_.reset();  // joins connection workers (they drain promptly)
   started_ = false;
 }
@@ -128,7 +130,7 @@ void HttpServer::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // listener closed: stop() was called
+      return;  // listener shut down: stop() was called
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -143,11 +145,11 @@ void HttpServer::accept_loop() {
   }
 }
 
-bool HttpServer::send_all(int fd, std::string_view data) {
+bool HttpServer::send_all(int fd, std::string_view data, int flags) {
   std::size_t sent = 0;
   while (sent < data.size()) {
     const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
+                             MSG_NOSIGNAL | flags);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
@@ -155,6 +157,15 @@ bool HttpServer::send_all(int fd, std::string_view data) {
     sent += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+bool HttpServer::send_response(int fd, const HttpResponse& response,
+                               bool keep_alive) {
+  // The body is sent from its own buffer, not copied behind the head;
+  // MSG_MORE holds the head back so both leave in the same segments.
+  const std::string head = serialize_head(response, keep_alive);
+  return send_all(fd, head, response.body.empty() ? 0 : MSG_MORE) &&
+         send_all(fd, response.body, 0);
 }
 
 void HttpServer::serve_connection(int fd) {
@@ -197,7 +208,7 @@ void HttpServer::serve_connection(int fd) {
           error_response(parser.error_status(),
                          parse_error_code(parser.error_status()),
                          parser.error_reason());
-      send_all(fd, serialize_response(response, /*keep_alive=*/false));
+      send_response(fd, response, /*keep_alive=*/false);
       break;  // framing is unrecoverable after a parse error
     }
     if (parser.state() != RequestParser::State::kComplete) continue;
@@ -222,7 +233,7 @@ void HttpServer::serve_connection(int fd) {
       ++tally_.requests;
     }
     ++served;
-    if (!send_all(fd, serialize_response(response, keep_alive))) break;
+    if (!send_response(fd, response, keep_alive)) break;
     if (!keep_alive) break;
     parser.reset();
   }

@@ -86,7 +86,10 @@ class HttpServer {
   void accept_loop();
   void serve_connection(int fd);
   /// send() the whole buffer, tolerating partial writes. False on error.
-  static bool send_all(int fd, std::string_view data);
+  static bool send_all(int fd, std::string_view data, int flags);
+  /// Send the serialized head, then the body. False on error.
+  static bool send_response(int fd, const HttpResponse& response,
+                            bool keep_alive);
 
   ServerConfig cfg_;
   Handler handler_;

@@ -1,11 +1,13 @@
 #pragma once
 // Minimal JSON emitter for machine-readable result artifacts (benchmark
 // trajectories, scenario-matrix scores, serve_stats) that CI archives and
-// diffs. The reading counterpart is util/json_parse.hpp (added for serve
-// request scripts). The interface is a flat token stream with nesting
+// diffs, and for the HTTP job pages. The reading counterpart is
+// util/json_parse.hpp. The interface is a flat token stream with nesting
 // checks in the separator logic; numbers are written with enough digits to
 // round-trip exactly, and non-finite doubles (NaN and ±inf — e.g. latency
 // percentiles over an empty window) degrade to null (JSON has neither).
+// Scalars are escaped and formatted straight into the document buffer,
+// with no temporary string per value, and take() moves the document out.
 
 #include <charconv>
 #include <cmath>
@@ -17,11 +19,16 @@
 
 namespace surro::util {
 
-/// Escape for inclusion inside a JSON string literal (quotes not added).
-[[nodiscard]] inline std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
+/// Append `s` escaped for inclusion inside a JSON string literal (quotes not
+/// added). Runs of bytes that need no escape are copied in one append.
+inline void append_json_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char ch = static_cast<unsigned char>(s[i]);
+    if (ch >= 0x20 && ch != '"' && ch != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -31,26 +38,40 @@ namespace surro::util {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          const char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(ch >> 4) & 0xF];
-          out += hex[ch & 0xF];
-        } else {
-          out += ch;
-        }
+        out += "\\u00";
+        out += kHex[ch >> 4];
+        out += kHex[ch & 0xF];
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+/// Escape for inclusion inside a JSON string literal (quotes not added).
+[[nodiscard]] inline std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_json_escaped(out, s);
   return out;
+}
+
+/// Append the shortest decimal representation that round-trips the double
+/// ("null" for NaN/Inf, which JSON cannot represent).
+inline void append_json_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, static_cast<std::size_t>(res.ptr - buf));
 }
 
 /// Shortest decimal representation that round-trips the double ("null" for
 /// NaN/Inf, which JSON cannot represent).
 [[nodiscard]] inline std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
+  std::string out;
+  append_json_number(out, v);
+  return out;
 }
 
 /// Streaming writer: begin/end containers, key() before each object value.
@@ -72,7 +93,7 @@ class JsonWriter {
   JsonWriter& key(std::string_view k) {
     separate();
     out_ += '"';
-    out_ += json_escape(k);
+    append_json_escaped(out_, k);
     out_ += "\":";
     pending_key_ = true;
     return *this;
@@ -81,14 +102,14 @@ class JsonWriter {
   JsonWriter& value(std::string_view v) {
     separate();
     out_ += '"';
-    out_ += json_escape(v);
+    append_json_escaped(out_, v);
     out_ += '"';
     return *this;
   }
   JsonWriter& value(const char* v) { return value(std::string_view(v)); }
   JsonWriter& value(double v) {
     separate();
-    out_ += json_number(v);
+    append_json_number(out_, v);
     return *this;
   }
   /// Any integer type (kept separate from double so values stay exact).
@@ -96,7 +117,9 @@ class JsonWriter {
     requires std::is_integral_v<T> && (!std::is_same_v<T, bool>)
   JsonWriter& value(T v) {
     separate();
-    out_ += std::to_string(v);
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out_.append(buf, static_cast<std::size_t>(res.ptr - buf));
     return *this;
   }
   JsonWriter& value(bool v) {
@@ -125,8 +148,13 @@ class JsonWriter {
     return value(v);
   }
 
+  /// Pre-size the output buffer for a document of about `bytes`.
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
+
   /// The document so far (valid JSON once every container is closed).
   [[nodiscard]] const std::string& str() const noexcept { return out_; }
+  /// Move the document out; the writer is spent.
+  [[nodiscard]] std::string take() noexcept { return std::move(out_); }
 
  private:
   JsonWriter& open(char bracket) {

@@ -1,12 +1,24 @@
 #pragma once
-// Minimal JSON reader, the consuming counterpart of util/json.hpp. The
-// library stayed writer-only until the serving layer needed to replay
-// request scripts (`surro_cli serve --script requests.jsonl`), which makes
-// JSON an *input* format for the first time. The parser is a strict
-// recursive-descent reader over a DOM of JsonValue nodes — small documents
-// only (request scripts, test round-trips), so no streaming, no SIMD, and
-// every malformed input fails with std::runtime_error rather than a
-// best-effort guess.
+// JSON reading, the consuming counterpart of util/json.hpp, in two layers
+// over one tokenizer:
+//
+//   * JsonReader — a strict pull reader over one document. The caller walks
+//     the document in order: peek() the next value's kind, begin_array() /
+//     next_element() and begin_object() / next_key() through containers,
+//     and read scalars with number(), string(buf), boolean() and null().
+//     Nothing is allocated per value unless the caller asks for it, so a
+//     large document (the HTTP job page: thousands of rows of cells) is
+//     decoded in one pass straight into the caller's own storage.
+//     read_value() hands back any subtree as a DOM for the small parts.
+//   * parse_json — the DOM builder: read_value() on the whole document,
+//     then finish(). Request scripts, request bodies and test round-trips
+//     use it.
+//
+// Both enforce the same strictness, because they are the same code: a byte
+// cap judged before any work, a container depth cap, RFC 8259 strings
+// (valid UTF-8, escaped control characters, paired surrogates), one
+// number grammar (JsonReader::number), and no trailing content. Every malformed input fails with
+// a JsonParseError carrying the byte offset, never a best-effort guess.
 
 #include <cstddef>
 #include <map>
@@ -71,10 +83,77 @@ class JsonParseError : public std::runtime_error {
 struct JsonLimits {
   /// Maximum document size in bytes; 0 = unlimited (trusted local input).
   std::size_t max_bytes = 0;
-  /// Maximum container nesting. The parser is recursive-descent, so depth
-  /// is stack depth; the cap turns a hostile "[[[[..." into a JsonParseError
-  /// instead of a stack overflow.
+  /// Maximum container nesting. The DOM builder is recursive-descent, so
+  /// depth is stack depth; the cap turns a hostile "[[[[..." into a
+  /// JsonParseError instead of a stack overflow.
   std::size_t max_depth = 128;
+};
+
+/// Strict pull reader over one JSON document (see the file comment). Every
+/// call that meets malformed input throws JsonParseError; after a throw the
+/// reader is spent. The text must outlive the reader.
+///
+///   JsonReader r(body);
+///   r.begin_array();
+///   while (r.next_element()) total += r.number();
+///   r.finish();
+class JsonReader {
+ public:
+  using Kind = JsonValue::Kind;
+
+  /// Throws JsonParseError (offset 0) when `text` exceeds
+  /// `limits.max_bytes` — before reading a byte of it.
+  explicit JsonReader(std::string_view text, const JsonLimits& limits = {});
+
+  /// Kind of the next value (whitespace skipped, nothing consumed). Any
+  /// byte that starts no other kind reports kNumber, so number() raises
+  /// the error. Throws at end of input.
+  [[nodiscard]] Kind peek();
+
+  /// Enter an array. Then call next_element() before each element: it
+  /// consumes the separator and returns true while an element follows,
+  /// and consumes the closing ']' when it returns false.
+  void begin_array();
+  [[nodiscard]] bool next_element();
+  /// Enter an object. Then call next_key() before each member: it reads
+  /// the member's key (and its ':') into `key` and returns true, or
+  /// consumes the closing '}' and returns false.
+  void begin_object();
+  [[nodiscard]] bool next_key(std::string& key);
+
+  /// Scalar reads; each throws when the next value is not of its kind.
+  /// A number is an optional '-' and then the longest run of digits,
+  /// signs, '.', 'e' and 'E', which std::from_chars must consume whole.
+  [[nodiscard]] double number();
+  /// Decode a string value into `out` (cleared first).
+  void string(std::string& out);
+  [[nodiscard]] bool boolean();
+  void null();
+
+  /// The next value, whatever its kind, as a DOM subtree.
+  [[nodiscard]] JsonValue read_value();
+
+  /// Require that only whitespace remains.
+  void finish();
+
+ private:
+  /// Throw a JsonParseError for `what` at the current offset.
+  [[noreturn]] void fail(const std::string& what) const;
+  void skip_ws();
+  [[nodiscard]] char peek_char();
+  void expect(char c);
+  [[nodiscard]] bool literal(std::string_view word);
+  [[nodiscard]] unsigned hex4();
+  void escape(std::string& out);
+  void utf8_sequence(std::string& out);
+  void enter(char bracket);
+  [[nodiscard]] bool next_in(char close);
+
+  std::string_view s_;
+  std::size_t max_depth_;
+  std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open containers (<= max_depth_)
+  bool first_ = false;     // just entered a container: no separator yet
 };
 
 /// Parse one complete JSON document; trailing non-whitespace is an error.

@@ -226,6 +226,90 @@ TEST(JsonParse, KindMismatchThrows) {
   EXPECT_THROW(static_cast<void>(parse("[1]").at("k")), std::runtime_error);
 }
 
+TEST(JsonReader, PullWalkReadsScalarsContainersAndSubtrees) {
+  JsonReader r(R"( {"rows": [[1.5, "a\"b", null], [-2e3, "café", true]],
+                   "meta": {"k": [1, 2]}} )");
+  r.begin_object();
+  std::string key;
+  ASSERT_TRUE(r.next_key(key));
+  EXPECT_EQ(key, "rows");
+  r.begin_array();
+  std::vector<double> numbers;
+  std::vector<std::string> labels;
+  std::string label = "stale";  // string() clears the caller's buffer
+  while (r.next_element()) {
+    r.begin_array();
+    ASSERT_TRUE(r.next_element());
+    EXPECT_EQ(r.peek(), JsonValue::Kind::kNumber);
+    numbers.push_back(r.number());
+    ASSERT_TRUE(r.next_element());
+    r.string(label);
+    labels.push_back(label);
+    ASSERT_TRUE(r.next_element());
+    if (r.peek() == JsonValue::Kind::kNull) {
+      r.null();
+    } else {
+      EXPECT_TRUE(r.boolean());
+    }
+    EXPECT_FALSE(r.next_element());
+  }
+  EXPECT_EQ(numbers, (std::vector<double>{1.5, -2000.0}));
+  EXPECT_EQ(labels, (std::vector<std::string>{"a\"b", "caf\xC3\xA9"}));
+  ASSERT_TRUE(r.next_key(key));
+  EXPECT_EQ(key, "meta");
+  const JsonValue meta = r.read_value();
+  EXPECT_EQ(meta.at("k").array[1].as_number(), 2.0);
+  EXPECT_FALSE(r.next_key(key));
+  r.finish();
+}
+
+TEST(JsonReader, PullModeKeepsTheDomStrictness) {
+  {  // A missing separator names the expected bytes and where.
+    JsonReader r("[1 2]");
+    r.begin_array();
+    ASSERT_TRUE(r.next_element());
+    EXPECT_EQ(r.number(), 1.0);
+    try {
+      static_cast<void>(r.next_element());
+      FAIL() << "expected JsonParseError";
+    } catch (const JsonParseError& e) {
+      EXPECT_EQ(e.offset(), 3u);
+    }
+  }
+  {  // The depth cap holds for hand-walked containers too.
+    JsonLimits limits;
+    limits.max_depth = 2;
+    JsonReader r("[[[1]]]", limits);
+    r.begin_array();
+    ASSERT_TRUE(r.next_element());
+    r.begin_array();
+    ASSERT_TRUE(r.next_element());
+    EXPECT_THROW(r.begin_array(), JsonParseError);
+  }
+  {  // The byte cap is judged in the constructor, before any read.
+    JsonLimits limits;
+    limits.max_bytes = 4;
+    EXPECT_THROW(JsonReader("[1, 2]", limits), JsonParseError);
+  }
+  {  // Kind-specific reads refuse other kinds; finish() refuses trailers.
+    JsonReader r("\"text\"");
+    EXPECT_THROW(static_cast<void>(r.number()), JsonParseError);
+    JsonReader n("12 13");
+    EXPECT_EQ(n.number(), 12.0);
+    EXPECT_THROW(n.finish(), JsonParseError);
+    JsonReader bad_utf8("\"a\xC3\x28\"");
+    std::string out;
+    EXPECT_THROW(bad_utf8.string(out), JsonParseError);
+  }
+}
+
+TEST(JsonWriter, TakeMovesTheDocumentOut) {
+  JsonWriter w;
+  w.reserve(64);
+  w.begin_array().value(1).value(-2.5).value("a\"b").end_array();
+  EXPECT_EQ(w.take(), "[1,-2.5,\"a\\\"b\"]");
+}
+
 TEST(JsonWriter, NestedDocumentRoundTrips) {
   JsonWriter w;
   w.begin_object();

@@ -11,11 +11,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <limits>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "models/generator.hpp"
@@ -132,6 +136,73 @@ HttpRequest json_post(const std::string& target, const std::string& body,
           std::to_string(body.size()) + "\r\n\r\n" + body;
   return parse_request(wire);
 }
+
+/// Five rows whose cells exercise every escape the page encoder owns:
+/// quotes, backslashes, control characters, multi-byte UTF-8, NaN, ±inf.
+tabular::Table golden_table() {
+  tabular::Schema schema({{"x", tabular::ColumnKind::kNumerical},
+                          {"site \"q\"", tabular::ColumnKind::kCategorical},
+                          {"y", tabular::ColumnKind::kNumerical},
+                          {"status", tabular::ColumnKind::kCategorical}});
+  tabular::Table t(schema);
+  const double x[] = {0.1, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity(),
+                      -std::numeric_limits<double>::infinity(),
+                      123456789.125};
+  const char* site[] = {"quo\"te", "back\\slash", "ctl\x01\n\t\x1f\x7f",
+                        "caf\xC3\xA9 \xE2\x82\xAC \xF0\x9F\x98\x80",
+                        "quo\"te"};
+  const double y[] = {-0.0, 1e-300, 6.02e23, 3.0, 1e21};
+  const char* status[] = {"ok", "a/b", "ok", "</script>", "ok"};
+  for (std::size_t i = 0; i < 5; ++i) {
+    auto row = t.make_row();
+    row.set(0, x[i]);
+    row.set(1, std::string(site[i]));
+    row.set(2, y[i]);
+    row.set(3, std::string(status[i]));
+    t.append_row(row);
+  }
+  return t;
+}
+
+/// A backend whose every job resolves at once to golden_table() with fixed
+/// timings, so a page's bytes depend on the encoder alone.
+class FixedBackend : public serve::SampleBackend {
+ public:
+  serve::Submitted submit_job(serve::SampleJob job) override {
+    serve::SampleResult result;
+    result.table = golden_table();
+    result.model_key = job.model_key;
+    result.queue_seconds = 0.25;
+    result.sample_seconds = 0.5;
+    result.total_seconds = 0.75;
+    result.batch_jobs = 1;
+    result.cache_hit = true;
+    std::promise<serve::SampleResult> promise;
+    promise.set_value(std::move(result));
+    return {++next_id_, promise.get_future()};
+  }
+  bool cancel(std::uint64_t) override { return false; }
+  void drain() override {}
+  [[nodiscard]] serve::ServiceStats stats() const override { return {}; }
+  [[nodiscard]] std::size_t queue_depth() const override { return 0; }
+  [[nodiscard]] const serve::ServiceConfig& config() const noexcept override {
+    return config_;
+  }
+  [[nodiscard]] std::vector<std::string> model_keys() const override {
+    return {"fixed"};
+  }
+  [[nodiscard]] bool has_model(const std::string& key) const override {
+    return key == "fixed";
+  }
+  [[nodiscard]] bool model_resident(const std::string&) const override {
+    return true;
+  }
+
+ private:
+  std::atomic<std::uint64_t> next_id_{0};
+  serve::ServiceConfig config_;
+};
 
 /// The structured {"error":{"code",...}} code of an error response.
 std::string error_code_of(const HttpResponse& response) {
@@ -592,6 +663,83 @@ TEST(RestApi, JobLifecycleUnknownDeleteAndPurge) {
   EXPECT_EQ(gone.status, 404);
 }
 
+TEST(RestApi, GoldenPageBytesAreUnchanged) {
+  // The page encoder's exact output, captured from the per-cell encoder it
+  // replaced: labels escaped once per page must give the same bytes.
+  FixedBackend backend;
+  RestApi api(backend);
+  ASSERT_EQ(api.handle(json_post("/v1/sample",
+                                 R"({"model":"fixed","rows":5,"seed":"9"})"))
+                .status,
+            202);
+  const std::string head =
+      R"({"job_id":"1","status":"done","model":"fixed","rows":5,"seed":"9",)"
+      R"("chunk_rows":4096,"cache_hit":true,"batch_jobs":1,)"
+      R"("queue_seconds":0.25,"sample_seconds":0.5,"total_seconds":0.75,)";
+  const std::string schema =
+      R"("schema":[{"name":"x","kind":"numerical"},)"
+      R"({"name":"site \"q\"","kind":"categorical"},)"
+      R"({"name":"y","kind":"numerical"},)"
+      R"({"name":"status","kind":"categorical"}],)";
+  const std::string page1 =
+      head + R"("cursor":0,"next_cursor":3,)" + schema +
+      R"("data":[[0.1,"quo\"te",-0,"ok"],[null,"back\\slash",1e-300,"a/b"],)"
+      R"([null,"ctl\u0001\n\t\u001f)" "\x7F" R"(",6.02e+23,"ok"]]})";
+  const std::string page2 =
+      head + R"("cursor":3,"next_cursor":null,)" + schema +
+      R"("data":[[null,"caf)" "\xC3\xA9 \xE2\x82\xAC \xF0\x9F\x98\x80"
+      R"(",3,"</script>"],[123456789.125,"quo\"te",1e+21,"ok"]]})";
+  EXPECT_EQ(api.handle(simple_get("/v1/jobs/1?limit=3")).body, page1);
+  EXPECT_EQ(api.handle(simple_get("/v1/jobs/1?cursor=3&limit=3")).body,
+            page2);
+}
+
+TEST(RestApi, HarvestEvictionPurgesLeastRecentlyResolvedFirst) {
+  RestConfig cfg;
+  cfg.completed_cap = 3;
+  FixedBackend backend;
+  RestApi api(backend, cfg);
+  const auto submit = [&] {
+    const auto r = api.handle(
+        json_post("/v1/sample", R"({"model":"fixed","rows":5})"));
+    EXPECT_EQ(r.status, 202);
+    return util::parse_json(r.body).at("job_id").as_string();
+  };
+  const auto status_of = [&](int id) {
+    return api.handle(simple_get("/v1/jobs/" + std::to_string(id))).status;
+  };
+
+  // Job 1 is never polled: unresolved jobs are never purged.
+  ASSERT_EQ(submit(), "1");
+  // Resolve (harvest) jobs 2..6 in order: cap 3 + 2 more.
+  for (int id = 2; id <= 6; ++id) {
+    ASSERT_EQ(submit(), std::to_string(id));
+    ASSERT_EQ(status_of(id), 200);
+  }
+  EXPECT_EQ(status_of(2), 404);
+  EXPECT_EQ(status_of(3), 404);
+  for (const int id : {4, 5, 6}) EXPECT_EQ(status_of(id), 200) << id;
+  EXPECT_EQ(api.tracked_jobs(), 4u);  // 3 resolved + the unpolled job 1
+
+  // Deleting a resolved job frees its slot: the next harvest evicts none.
+  ASSERT_EQ(api.handle(parse_request("DELETE /v1/jobs/5 HTTP/1.1\r\n\r\n"))
+                .status,
+            200);
+  ASSERT_EQ(submit(), "7");
+  ASSERT_EQ(status_of(7), 200);
+  for (const int id : {4, 6, 7}) EXPECT_EQ(status_of(id), 200) << id;
+  ASSERT_EQ(submit(), "8");
+  ASSERT_EQ(status_of(8), 200);
+  EXPECT_EQ(status_of(4), 404);
+  for (const int id : {6, 7, 8}) EXPECT_EQ(status_of(id), 200) << id;
+
+  // Job 1 resolves last, so it is the newest: 6 goes.
+  EXPECT_EQ(status_of(1), 200);
+  EXPECT_EQ(status_of(6), 404);
+  const auto stats = util::parse_json(api.stats_json());
+  EXPECT_EQ(stats.at("jobs").at("tracked").as_number(), 3.0);
+}
+
 TEST(RestApi, AuthRequiredWhenKeysRegistered) {
   RestFixture fx;
   fx.api->quotas().add_key("secret");
@@ -764,6 +912,96 @@ TEST(HttpEndpointSocket, KeepAliveServesManyRequestsOnOneConnection) {
   EXPECT_EQ(bad.status, 400);
   EXPECT_GE(endpoint.server.stats().parse_errors, 1u);
   endpoint.server.stop();
+}
+
+TEST(HttpEndpointSocket, GoldenTableSurvivesTheWireCellForCell) {
+  FixedBackend backend;
+  HttpEndpoint endpoint(backend);
+  endpoint.server.start();
+  ApiClient client("127.0.0.1", endpoint.server.port());
+  const auto remote =
+      client.wait_result(client.submit("fixed", 5, 9), /*page_rows=*/3);
+  EXPECT_EQ(remote.pages, 2u);
+  const tabular::Table expected = golden_table();
+  ASSERT_EQ(remote.table.num_rows(), expected.num_rows());
+  ASSERT_TRUE(remote.table.schema() == expected.schema());
+  for (std::size_t r = 0; r < expected.num_rows(); ++r) {
+    for (const std::size_t c : {1u, 3u}) {
+      EXPECT_EQ(remote.table.label_at(c, r), expected.label_at(c, r));
+    }
+    for (const std::size_t c : {0u, 2u}) {
+      const double want = expected.numerical(c)[r];
+      const double got = remote.table.numerical(c)[r];
+      if (std::isfinite(want)) {
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(std::signbit(got), std::signbit(want));  // -0 stays -0
+      } else {
+        EXPECT_TRUE(std::isnan(got));  // NaN and ±inf all travel as null
+      }
+    }
+  }
+  endpoint.server.stop();
+}
+
+TEST(HttpEndpointSocket, MultiPageReassemblyHashesLikeSampleInto) {
+  RestFixture fx;
+  HttpEndpoint endpoint(*fx.service);
+  endpoint.server.start();
+  ApiClient client("127.0.0.1", endpoint.server.port());
+  constexpr std::size_t kRows = 97;
+  tabular::Table local;
+  models::SampleRequest request;
+  request.rows = kRows;
+  request.seed = 31337;
+  request.chunk_rows = 40;
+  fx.host.acquire("smote")->sample_into(local, request);
+  for (const std::size_t page_rows : {std::size_t{1}, std::size_t{7},
+                                      std::size_t{96}, kRows}) {
+    const auto remote = client.wait_result(
+        client.submit("smote", kRows, request.seed, request.chunk_rows),
+        page_rows);
+    EXPECT_EQ(remote.pages, (kRows + page_rows - 1) / page_rows);
+    EXPECT_EQ(serve::hash_table(remote.table), serve::hash_table(local))
+        << "page_rows " << page_rows;
+  }
+  endpoint.server.stop();
+}
+
+TEST(HttpServer, StartStopLoopWithAConcurrentClientStopsCleanly) {
+  // stop() must never race the acceptor over the listening socket: it
+  // shuts the listener down, joins the acceptor, and only then closes.
+  HttpServer server(ServerConfig{}, [](const HttpRequest&) {
+    return HttpResponse::json(200, "{}");
+  });
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    server.start();
+    const std::uint16_t port = server.port();
+    {
+      HttpClient probe("127.0.0.1", port, 2.0);
+      ASSERT_EQ(probe.request("GET", "/").status, 200) << "cycle " << cycle;
+    }
+    std::atomic<bool> done{false};
+    std::thread client([&] {
+      while (!done.load()) {
+        try {
+          HttpClient http("127.0.0.1", port, ClientConfig{0.5, 1, 0.0, 0.0});
+          (void)http.request("GET", "/");
+        } catch (const TransportError&) {
+          // Refused or cut off by the stop: expected mid-cycle.
+        }
+      }
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    server.stop();
+    const double stop_seconds = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count();
+    done.store(true);
+    client.join();
+    EXPECT_FALSE(server.running()) << "cycle " << cycle;
+    EXPECT_EQ(server.stats().open_connections, 0u) << "cycle " << cycle;
+    EXPECT_LT(stop_seconds, 2.0) << "cycle " << cycle;
+  }
 }
 
 }  // namespace

@@ -122,7 +122,7 @@ TEST(SiteCatalog, BnlIsMostPopular) {
 TEST(SiteCatalog, IndexOfFindsAndThrows) {
   const auto catalog = SiteCatalog::make_default();
   EXPECT_EQ(catalog.site(catalog.index_of("BNL")).name, "BNL");
-  EXPECT_THROW(catalog.index_of("NOT-A-SITE"), std::out_of_range);
+  EXPECT_THROW((void)catalog.index_of("NOT-A-SITE"), std::out_of_range);
 }
 
 TEST(SiteCatalog, DeterministicForSeed) {

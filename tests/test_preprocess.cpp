@@ -84,8 +84,8 @@ TEST(QuantileTransformer, ConstantColumn) {
 TEST(QuantileTransformer, ThrowsOnEmptyAndUnfitted) {
   QuantileTransformer qt;
   EXPECT_THROW(qt.fit({}), std::invalid_argument);
-  EXPECT_THROW(qt.transform_one(1.0), std::logic_error);
-  EXPECT_THROW(qt.inverse_one(0.0), std::logic_error);
+  EXPECT_THROW((void)qt.transform_one(1.0), std::logic_error);
+  EXPECT_THROW((void)qt.inverse_one(0.0), std::logic_error);
 }
 
 TEST(QuantileTransformer, InverseOfExtremeZHitsRangeEnds) {
@@ -194,7 +194,7 @@ TEST(OneHot, Errors) {
   std::vector<float> buf(2);
   EXPECT_THROW(enc.encode_into(5, buf), std::out_of_range);
   const std::vector<float> wrong(3);
-  EXPECT_THROW(enc.decode(wrong), std::invalid_argument);
+  EXPECT_THROW((void)enc.decode(wrong), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ mixed encoder --

@@ -30,6 +30,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <future>
@@ -38,6 +39,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/client.hpp"
@@ -368,6 +370,55 @@ TEST(TransportErrors, SilentServerIsTypedTimeoutNotAHang) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   EXPECT_LT(waited, 1.5);  // typed error well before the 2-second linger
+}
+
+TEST(TransportErrors, MalformedJobPagesAreTypedMalformed) {
+  // The client decodes a page in one pass, rows straight into the table.
+  // Every way a page can break must still surface as kMalformed, never as
+  // a partial table or an untyped exception.
+  const auto framed = [](const std::string& body) {
+    return "HTTP/1.1 200 OK\r\ncontent-length: " +
+           std::to_string(body.size()) + "\r\n\r\n" + body;
+  };
+  const std::string head =
+      R"({"job_id":"1","status":"done","model":"m","rows":2,"cursor":0,)"
+      R"("next_cursor":null,)";
+  const std::string schema =
+      R"("schema":[{"name":"x","kind":"numerical"},)"
+      R"({"name":"site","kind":"categorical"}])";
+  const std::string data = R"("data":[[1.5,"BNL"],[null,"CERN"]])";
+  const auto page = [&](const std::string& rows) {
+    return head + schema + R"(,"data":[)" + rows + "]}";
+  };
+  {  // The well-formed page decodes, so the cases below fail for their fault.
+    OneShotServer server(framed(head + schema + "," + data + "}"));
+    net::ApiClient api("127.0.0.1", server.port(), "",
+                       net::ClientConfig{2.0, 1, 0.0, 0.0});
+    const auto result = api.wait_result(1);
+    ASSERT_EQ(result.table.num_rows(), 2u);
+    EXPECT_EQ(result.table.label_at(1, 1), "CERN");
+    EXPECT_TRUE(std::isnan(result.table.numerical(0)[1]));
+  }
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"data before schema", head + data + "," + schema + "}"},
+      {"short row", page(R"([1.5,"BNL"],[2.5])")},
+      {"long row", page(R"([1.5,"BNL"],[2.5,"CERN",3])")},
+      {"bad number grammar", page(R"([1.2.3,"BNL"])")},
+      {"label in a numerical cell", page(R"(["1.5","BNL"])")},
+      {"invalid UTF-8 in a label", page("[1.5,\"B\xC3\x28L\"]")},
+      {"truncated mid-data", head + schema + R"(,"data":[[1.5,"BNL"],[2.5,"CE)"},
+  };
+  for (const auto& [what, body] : cases) {
+    OneShotServer server(framed(body));
+    net::ApiClient api("127.0.0.1", server.port(), "",
+                       net::ClientConfig{2.0, 1, 0.0, 0.0});
+    try {
+      (void)api.wait_result(1);
+      ADD_FAILURE() << what << ": expected TransportError";
+    } catch (const net::TransportError& e) {
+      EXPECT_EQ(e.kind(), net::TransportError::Kind::kMalformed) << what;
+    }
+  }
 }
 
 TEST(TransportErrors, TimedOutRequestNeverLeaksItsLateReplyIntoTheNext) {
