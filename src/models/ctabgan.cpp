@@ -50,15 +50,12 @@ void CtabganPlus::conditions_to_matrix(const std::vector<Condition>& conds,
   }
 }
 
-const linalg::Matrix& CtabganPlus::generator_forward(
-    const linalg::Matrix& z_cond, util::Rng& rng, bool train) {
-  const linalg::Matrix& raw = gen_.forward(z_cond, train);
-  head_out_ = raw;
-  // Gumbel-softmax per categorical block; numerical slice passes through.
+void CtabganPlus::gumbel_softmax_heads(linalg::Matrix& rows,
+                                       util::Rng& rng) const {
   const float tau = cfg_.gumbel_tau;
   for (const auto& b : encoder_.blocks()) {
-    for (std::size_t r = 0; r < head_out_.rows(); ++r) {
-      float* row = head_out_.data() + r * head_out_.cols() + b.offset;
+    for (std::size_t r = 0; r < rows.rows(); ++r) {
+      float* row = rows.data() + r * rows.cols() + b.offset;
       float peak = -1e30f;
       for (std::size_t j = 0; j < b.cardinality; ++j) {
         const double u = std::max(rng.uniform(), 1e-12);
@@ -74,6 +71,12 @@ const linalg::Matrix& CtabganPlus::generator_forward(
       for (std::size_t j = 0; j < b.cardinality; ++j) row[j] /= denom;
     }
   }
+}
+
+const linalg::Matrix& CtabganPlus::generator_forward(
+    const linalg::Matrix& z_cond, util::Rng& rng) {
+  head_out_ = gen_.forward(z_cond, /*train=*/true);
+  gumbel_softmax_heads(head_out_, rng);
   return head_out_;
 }
 
@@ -236,7 +239,7 @@ void CtabganPlus::train_steps(const linalg::Matrix& data,
       z.resize(batch, cfg_.noise_dim);
       for (float& v : z.flat()) v = static_cast<float>(rng_.normal());
       hconcat(z, cond_mat, z_cond);
-      const linalg::Matrix fake = generator_forward(z_cond, rng_, true);
+      const linalg::Matrix fake = generator_forward(z_cond, rng_);
 
       hconcat(real, cond_mat, real_cond);
       const linalg::Matrix real_logits = disc_.forward(real_cond, true);
@@ -262,7 +265,7 @@ void CtabganPlus::train_steps(const linalg::Matrix& data,
     z.resize(batch, cfg_.noise_dim);
     for (float& v : z.flat()) v = static_cast<float>(rng_.normal());
     hconcat(z, cond_mat, z_cond);
-    const linalg::Matrix& fake = generator_forward(z_cond, rng_, true);
+    const linalg::Matrix& fake = generator_forward(z_cond, rng_);
 
     hconcat(fake, cond_mat, fake_cond);
     const linalg::Matrix& fake_logits = disc_.forward(fake_cond, true);
@@ -313,13 +316,13 @@ tabular::Table CtabganPlus::sample_chunk(std::size_t n, std::uint64_t seed) {
   if (!fitted_) throw std::logic_error("ctabgan: sample before fit");
   util::Rng rng(seed);
   tabular::Table out = encoder_.make_empty_table();
-  const std::size_t width = encoder_.encoded_width();
   const std::size_t chunk = 2048;
 
   std::vector<Condition> conds;
   linalg::Matrix cond_mat;
   linalg::Matrix z;
   linalg::Matrix z_cond;
+  linalg::Matrix soft;
   for (std::size_t off = 0; off < n; off += chunk) {
     const std::size_t cur = std::min(chunk, n - off);
     draw_conditions(rng, cur, conds);
@@ -327,8 +330,8 @@ tabular::Table CtabganPlus::sample_chunk(std::size_t n, std::uint64_t seed) {
     z.resize(cur, cfg_.noise_dim);
     for (float& v : z.flat()) v = static_cast<float>(rng.normal());
     hconcat(z, cond_mat, z_cond);
-    linalg::Matrix soft = generator_forward(z_cond, rng, false);
-    (void)width;
+    gen_.infer(z_cond, soft);
+    gumbel_softmax_heads(soft, rng);
     out.append_table(encoder_.decode(soft, &rng));
   }
   return out;

@@ -74,10 +74,14 @@ class CtabganPlus final : public TabularGenerator {
   /// One-hot condition matrix (batch, cond_width).
   void conditions_to_matrix(const std::vector<Condition>& conds,
                             linalg::Matrix& out) const;
-  /// Generator forward: noise+cond -> soft mixed rows. Returns the head
-  /// output; raw pre-softmax logits stay cached for backward_heads().
+  /// Gumbel-softmax per categorical block of the generator's raw output,
+  /// in place (the numerical slice passes through). Reads only fitted
+  /// state, so sampling threads share it.
+  void gumbel_softmax_heads(linalg::Matrix& rows, util::Rng& rng) const;
+  /// Training-time generator forward: noise+cond -> soft mixed rows. The
+  /// result stays cached in head_out_ for generator_backward().
   const linalg::Matrix& generator_forward(const linalg::Matrix& z_cond,
-                                          util::Rng& rng, bool train);
+                                          util::Rng& rng);
   /// Backward through the Gumbel-softmax heads into the generator body.
   void generator_backward(const linalg::Matrix& grad_soft);
 

@@ -51,10 +51,10 @@ void TabularGenerator::sample_into(tabular::Table& out,
   std::vector<tabular::Table> chunks(num_chunks);
   std::mutex progress_mutex;
   std::size_t rows_done = 0;
-  const auto run_chunk = [&](TabularGenerator& model, std::size_t c) {
+  const auto run_chunk = [&](std::size_t c) {
     const std::size_t lo = c * request.chunk_rows;
     const std::size_t n = std::min(request.chunk_rows, request.rows - lo);
-    chunks[c] = model.sample_chunk(n, derive_chunk_seed(request.seed, c));
+    chunks[c] = sample_chunk(n, derive_chunk_seed(request.seed, c));
     if (request.on_progress) {
       const std::lock_guard lock(progress_mutex);
       rows_done += n;
@@ -63,27 +63,17 @@ void TabularGenerator::sample_into(tabular::Table& out,
   };
 
   if (threads <= 1) {
-    for (std::size_t c = 0; c < num_chunks; ++c) run_chunk(*this, c);
+    for (std::size_t c = 0; c < num_chunks; ++c) run_chunk(c);
   } else {
     // Worker w owns chunks w, w+threads, w+2*threads, ... — the partition
     // and the per-chunk seeds are thread-count-independent, so so is the
-    // output. Models that sample through shared mutable buffers (the
-    // neural forward passes) get one fitted replica per worker, cloned
-    // inside the worker task so replica construction itself runs in
-    // parallel (save() only reads fitted state, so concurrent clones of
-    // one source are safe); read-only samplers share this instance and
-    // skip the clone cost entirely.
-    const bool share_this = concurrent_sampling();
+    // output. All workers sample this one instance: sample_chunk is
+    // reentrant (see its contract), so no worker needs a replica.
     auto& pool = util::ThreadPool::global();
     util::TaskGroup group;
     for (std::size_t w = 0; w < threads; ++w) {
-      pool.submit(group, [&, share_this, w] {
-        std::unique_ptr<TabularGenerator> replica;
-        if (!share_this) replica = clone();
-        TabularGenerator& model = share_this ? *this : *replica;
-        for (std::size_t c = w; c < num_chunks; c += threads) {
-          run_chunk(model, c);
-        }
+      pool.submit(group, [&, w] {
+        for (std::size_t c = w; c < num_chunks; c += threads) run_chunk(c);
       });
     }
     pool.wait(group);

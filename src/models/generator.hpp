@@ -155,6 +155,13 @@ class TabularGenerator {
 
   /// Sampling primitive: n rows drawn from the stream seeded with `seed`.
   /// Each call is independent and deterministic for a given seed after fit.
+  ///
+  /// Reentrancy contract: on a fitted instance, sample_chunk is safe to call
+  /// from any number of threads at once. It reads only fitted state and
+  /// keeps its scratch buffers local (the neural models sample through the
+  /// const nn::Mlp::infer), so sample_into and serve::SampleService run
+  /// every worker on the one shared instance. It must not overlap fit,
+  /// warm_fit or load on the same instance.
   [[nodiscard]] virtual tabular::Table sample_chunk(std::size_t n,
                                                     std::uint64_t seed) = 0;
 
@@ -166,25 +173,26 @@ class TabularGenerator {
   virtual void save(std::ostream& os) const = 0;
   virtual void load(std::istream& is) = 0;
 
-  /// Deep copy of the fitted *sampling* state (used for per-worker replicas
-  /// during parallel sampling; implemented via save/load round-trip).
+  /// Deep copy of the fitted *sampling* state (a save/load round trip),
+  /// for owners that need an independent instance: ShardPool replicas on
+  /// different shards and the soak's fixtures. Parallel sampling never
+  /// clones; it shares one instance under the sample_chunk contract.
   /// Training-only state (optimizer moments, training RNG) is not copied —
-  /// replicas sample, they never train.
+  /// copies sample, they never train.
   [[nodiscard]] virtual std::unique_ptr<TabularGenerator> clone() const = 0;
 
-  /// True when sample_chunk() only reads shared state, letting sample_into
-  /// run chunks concurrently on this instance instead of paying for
-  /// per-worker clones. Models whose forward passes reuse internal buffers
-  /// (the neural ones) keep the default false.
+  /// Always true: every model honours the sample_chunk reentrancy contract.
+  /// The library no longer consults it; it stays so existing overrides
+  /// (sampling decorators) keep compiling.
   [[nodiscard]] virtual bool concurrent_sampling() const noexcept {
-    return false;
+    return true;
   }
 
   /// Chunked synthesis appended to `out` (which must be empty or share the
   /// training schema). Splits the request into chunk_rows-sized chunks with
   /// derived per-chunk seeds and runs them on util::ThreadPool when
-  /// request.threads != 1; output is bitwise identical for every thread
-  /// count.
+  /// request.threads != 1, every worker calling sample_chunk on this
+  /// instance; output is bitwise identical for every thread count.
   void sample_into(tabular::Table& out, const SampleRequest& request);
 
   /// Convenience wrapper over sample_into with default chunking, serial.

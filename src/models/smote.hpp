@@ -49,12 +49,6 @@ class Smote final : public TabularGenerator {
   void load(std::istream& is) override;
   [[nodiscard]] std::unique_ptr<TabularGenerator> clone() const override;
 
-  /// sample_chunk only reads the fitted state (k-d tree queries are const),
-  /// so chunks can run concurrently on one instance.
-  [[nodiscard]] bool concurrent_sampling() const noexcept override {
-    return true;
-  }
-
   [[nodiscard]] const SmoteConfig& config() const noexcept { return cfg_; }
 
  private:

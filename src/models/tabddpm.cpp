@@ -213,6 +213,7 @@ tabular::Table TabDdpm::sample_chunk(std::size_t n, std::uint64_t seed) {
   tabular::Table out_table = encoder_.make_empty_table();
   linalg::Matrix x(chunk, width);          // current state (num + one-hot)
   linalg::Matrix input(chunk, width + cfg_.time_embed_dim);
+  linalg::Matrix pred;
   std::vector<double> post;
 
   for (std::size_t off = 0; off < n; off += chunk) {
@@ -239,7 +240,7 @@ tabular::Table TabDdpm::sample_chunk(std::size_t n, std::uint64_t seed) {
                     input.data() + r * input.cols());
         embed_time(t, input, r, width);
       }
-      const linalg::Matrix& pred = net_.forward(input, /*train=*/false);
+      net_.infer(input, pred);
 
       const double ab_t = alpha_bar_[t];
       const double ab_prev = alpha_bar_[t - 1];
@@ -313,7 +314,7 @@ tabular::Table TabDdpm::sample_chunk(std::size_t n, std::uint64_t seed) {
 std::vector<double> TabDdpm::anomaly_scores(const tabular::Table& rows,
                                             std::size_t probes,
                                             std::size_t draws,
-                                            std::uint64_t seed) {
+                                            std::uint64_t seed) const {
   if (!fitted_) throw std::logic_error("tabddpm: anomaly_scores before fit");
   if (probes == 0 || draws == 0) {
     throw std::invalid_argument("tabddpm: probes/draws must be positive");
@@ -328,6 +329,7 @@ std::vector<double> TabDdpm::anomaly_scores(const tabular::Table& rows,
   std::vector<double> scores(n, 0.0);
   linalg::Matrix input(n, width + cfg_.time_embed_dim);
   linalg::Matrix eps(n, m);
+  linalg::Matrix pred;
 
   // Probe at evenly spaced mid-range timesteps: very small t is trivial to
   // denoise, very large t destroys all signal; the informative band is the
@@ -363,7 +365,7 @@ std::vector<double> TabDdpm::anomaly_scores(const tabular::Table& rows,
         }
         embed_time(t, input, r, width);
       }
-      const linalg::Matrix& pred = net_.forward(input, /*train=*/false);
+      net_.infer(input, pred);
       for (std::size_t r = 0; r < n; ++r) {
         double err = 0.0;
         for (std::size_t j = 0; j < m; ++j) {

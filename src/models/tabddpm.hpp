@@ -72,7 +72,7 @@ class TabDdpm final : public TabularGenerator {
   /// far from the learned manifold denoise poorly and score high.
   [[nodiscard]] std::vector<double> anomaly_scores(
       const tabular::Table& rows, std::size_t probes = 4,
-      std::size_t draws = 4, std::uint64_t seed = 97);
+      std::size_t draws = 4, std::uint64_t seed = 97) const;
 
  private:
   /// Write the sinusoidal embedding of timestep t into out[row, offset..).

@@ -157,11 +157,12 @@ tabular::Table Tvae::sample_chunk(std::size_t n, std::uint64_t seed) {
 
   tabular::Table out = encoder_map_.make_empty_table();
   linalg::Matrix z;
+  linalg::Matrix y;
   for (std::size_t off = 0; off < n; off += chunk) {
     const std::size_t cur = std::min(chunk, n - off);
     z.resize(cur, latent);
     for (float& v : z.flat()) v = static_cast<float>(rng.normal());
-    linalg::Matrix y = decoder_.forward(z, /*train=*/false);
+    decoder_.infer(z, y);
     // Turn categorical logits into probabilities; decode() then samples.
     for (const auto& b : encoder_map_.blocks()) {
       linalg::softmax_rows(y, b.offset, b.offset + b.cardinality);

@@ -2,6 +2,8 @@
 // Layers with exact manual reverse-mode gradients. Each layer caches what its
 // backward pass needs during forward; backward() must be called with the same
 // batch that was last forwarded (the MLP container enforces this pairing).
+// infer() is the cache-free inference path: it reads only the parameters, so
+// one fitted layer may run infer() on many threads at once.
 //
 // Gradients ACCUMULATE into the parameter .grad buffers; optimizers zero them
 // after each step. That makes multi-head models (e.g. the VAE's mu/logvar
@@ -37,6 +39,9 @@ class Layer {
   /// Compute out = f(in). `train` enables dropout noise etc.
   virtual void forward(const linalg::Matrix& in, linalg::Matrix& out,
                        bool train) = 0;
+  /// Inference: the same bytes as forward(in, out, /*train=*/false), but
+  /// touches no cache, so concurrent calls on one layer are safe.
+  virtual void infer(const linalg::Matrix& in, linalg::Matrix& out) const = 0;
   /// Given dL/dout, accumulate parameter grads and compute dL/din.
   virtual void backward(const linalg::Matrix& grad_out,
                         linalg::Matrix& grad_in) = 0;
@@ -62,6 +67,7 @@ class Linear final : public Layer {
 
   void forward(const linalg::Matrix& in, linalg::Matrix& out,
                bool train) override;
+  void infer(const linalg::Matrix& in, linalg::Matrix& out) const override;
   void backward(const linalg::Matrix& grad_out,
                 linalg::Matrix& grad_in) override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
@@ -89,6 +95,7 @@ class ActivationLayer final : public Layer {
 
   void forward(const linalg::Matrix& in, linalg::Matrix& out,
                bool train) override;
+  void infer(const linalg::Matrix& in, linalg::Matrix& out) const override;
   void backward(const linalg::Matrix& grad_out,
                 linalg::Matrix& grad_in) override;
   [[nodiscard]] std::string name() const override;
@@ -111,6 +118,7 @@ class Dropout final : public Layer {
 
   void forward(const linalg::Matrix& in, linalg::Matrix& out,
                bool train) override;
+  void infer(const linalg::Matrix& in, linalg::Matrix& out) const override;
   void backward(const linalg::Matrix& grad_out,
                 linalg::Matrix& grad_in) override;
   [[nodiscard]] std::string name() const override { return "Dropout"; }
@@ -132,6 +140,7 @@ class LayerNorm final : public Layer {
 
   void forward(const linalg::Matrix& in, linalg::Matrix& out,
                bool train) override;
+  void infer(const linalg::Matrix& in, linalg::Matrix& out) const override;
   void backward(const linalg::Matrix& grad_out,
                 linalg::Matrix& grad_in) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
@@ -139,6 +148,11 @@ class LayerNorm final : public Layer {
   void save(std::ostream& os) const override;
 
  private:
+  /// Shared body of forward and infer; `norm`/`inv_std` (both or neither)
+  /// receive the normalized rows and per-row 1/std that backward needs.
+  void normalize(const linalg::Matrix& in, linalg::Matrix& out,
+                 linalg::Matrix* norm, std::vector<float>* inv_std) const;
+
   std::size_t dim_;
   float eps_;
   Param gamma_;

@@ -41,6 +41,20 @@ const linalg::Matrix& Mlp::forward(const linalg::Matrix& in, bool train) {
   return acts_.back();
 }
 
+void Mlp::infer(const linalg::Matrix& in, linalg::Matrix& out) const {
+  if (layers_.empty()) throw std::logic_error("mlp: empty network");
+  assert(&in != &out);
+  // Layers alternate between `out` and one local buffer, arranged so that
+  // the last layer writes `out`.
+  linalg::Matrix scratch;
+  const linalg::Matrix* cur = &in;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    linalg::Matrix& dst = (layers_.size() - i) % 2 == 1 ? out : scratch;
+    layers_[i]->infer(*cur, dst);
+    cur = &dst;
+  }
+}
+
 const linalg::Matrix& Mlp::backward(const linalg::Matrix& grad_out) {
   if (layers_.empty()) throw std::logic_error("mlp: empty network");
   const linalg::Matrix* cur = &grad_out;

@@ -3,6 +3,9 @@
 // activation/gradient buffers, so forward/backward are allocation-free in
 // steady state. This is the backbone of all three neural generative models
 // (TVAE encoder/decoder, GAN generator/discriminator, TabDDPM denoiser).
+// Training runs forward/backward; sampling runs infer(), which is const and
+// keeps its buffers off the instance, so one fitted net serves any number
+// of threads at once.
 
 #include <memory>
 #include <vector>
@@ -36,6 +39,11 @@ class Mlp {
   /// Forward through every layer; the returned reference stays valid until
   /// the next forward call.
   const linalg::Matrix& forward(const linalg::Matrix& in, bool train);
+
+  /// Inference into `out`: the same bytes as forward(in, false), but reads
+  /// only the parameters (no layer cache, no member buffer), so concurrent
+  /// calls on one network are safe. `in` must not alias `out`.
+  void infer(const linalg::Matrix& in, linalg::Matrix& out) const;
 
   /// Backward from dL/d(output); returns dL/d(input) (valid until next call).
   const linalg::Matrix& backward(const linalg::Matrix& grad_out);

@@ -466,10 +466,10 @@ void SampleService::run_batch(std::vector<Pending> batch) {
       model = host_.acquire(key);
 
       // One flat chunk list across the whole batch: worker w owns chunks
-      // w, w+T, w+2T, ... of the *batch*, so coalesced jobs share one set
-      // of per-worker replicas instead of paying a clone per job. Chunk
-      // seeds stay per-job (derive_chunk_seed(job.seed, chunk-within-job)),
-      // which keeps every job's bytes independent of how it was batched.
+      // w, w+T, w+2T, ... of the *batch*, and every worker samples the one
+      // resident instance (sample_chunk is reentrant). Chunk seeds stay
+      // per-job (derive_chunk_seed(job.seed, chunk-within-job)), which
+      // keeps every job's bytes independent of how it was batched.
       struct ChunkRef {
         std::size_t item;
         std::size_t chunk;
@@ -506,8 +506,7 @@ void SampleService::run_batch(std::vector<Pending> batch) {
       // dead job's remaining chunks are skipped (its partial chunks are
       // simply dropped at assembly), and live jobs in the same batch are
       // untouched — that is the clean unwind of a partially-sampled batch.
-      const auto run_chunk = [&](models::TabularGenerator& sampler,
-                                 const ChunkRef& ref) {
+      const auto run_chunk = [&](const ChunkRef& ref) {
         BatchItem& item = items[ref.item];
         if (state[ref.item].load(std::memory_order_relaxed) != kAlive) {
           return;
@@ -520,7 +519,7 @@ void SampleService::run_batch(std::vector<Pending> batch) {
           mark_dead(ref.item, kKilledDeadline);
           return;
         }
-        item.chunks[ref.chunk] = sampler.sample_chunk(ref.rows, ref.seed);
+        item.chunks[ref.chunk] = model->sample_chunk(ref.rows, ref.seed);
         if (item.pending.job.on_progress) {
           const std::lock_guard lock(progress_mutex);
           item.rows_done += ref.rows;
@@ -532,18 +531,14 @@ void SampleService::run_batch(std::vector<Pending> batch) {
       if (threads <= 1) {
         for (const auto& ref : refs) {
           if (group.stop_requested()) break;
-          run_chunk(*model, ref);
+          run_chunk(ref);
         }
       } else {
-        const bool share = model->concurrent_sampling();
         for (std::size_t w = 0; w < threads; ++w) {
-          pool.submit(group, [&, w, share] {
-            std::unique_ptr<models::TabularGenerator> replica;
-            if (!share) replica = model->clone();
-            models::TabularGenerator& sampler = share ? *model : *replica;
+          pool.submit(group, [&, w] {
             for (std::size_t r = w; r < refs.size(); r += threads) {
               if (group.stop_requested()) break;
-              run_chunk(sampler, refs[r]);
+              run_chunk(refs[r]);
             }
           });
         }

@@ -3,8 +3,8 @@
 // layer. Callers submit SampleJobs (model key, rows, seed, priority) and get
 // futures back; a dispatcher thread coalesces compatible jobs — same model
 // key — into batches, acquires the model once per batch from the ModelHost,
-// and fans every batch's chunks out over util::ThreadPool with per-worker
-// sampling replicas. ServiceStats reports qps, p50/p95 latency, rows/sec,
+// and fans every batch's chunks out over util::ThreadPool, every worker
+// sampling the one shared instance. ServiceStats reports qps, p50/p95 latency, rows/sec,
 // queue depth, batching effectiveness, and the host's cache hit rate.
 //
 // Determinism contract (inherited from TabularGenerator::sample_into and

@@ -6,13 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <latch>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pipeline.hpp"
 #include "models/generator.hpp"
 #include "models/tvae.hpp"
+#include "serve/replay.hpp"
 #include "util/rng.hpp"
 
 namespace surro::models {
@@ -250,6 +254,37 @@ TEST(SampleInto, ThrowingProgressCallbackDoesNotWedgeThePool) {
   tabular::Table retry;
   model->sample_into(retry, request);
   EXPECT_EQ(retry.num_rows(), 300u);
+}
+
+TEST_P(AllGeneratorsV2, ConcurrentSampleChunkOnOneInstanceMatchesSerial) {
+  // The sample_chunk reentrancy contract: threads sharing one fitted
+  // instance get the tables a serial caller gets, seed for seed.
+  const auto train = cluster_table(300, 26);
+  auto model = make_generator(GetParam(), tiny_budget(), 7);
+  model->fit(train);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kSeedsPerThread = 3;
+  constexpr std::size_t kRows = 96;
+  std::vector<std::uint64_t> serial(kThreads * kSeedsPerThread);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    serial[i] = serve::hash_table(model->sample_chunk(kRows, 1000 + i));
+  }
+
+  std::vector<std::uint64_t> concurrent(serial.size());
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t k = 0; k < kSeedsPerThread; ++k) {
+        const std::size_t i = k * kThreads + t;
+        concurrent[i] =
+            serve::hash_table(model->sample_chunk(kRows, 1000 + i));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(concurrent, serial);
 }
 
 TEST_P(AllGeneratorsV2, CloneSamplesIdentically) {

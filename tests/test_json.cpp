@@ -173,7 +173,7 @@ TEST(JsonParse, ParseErrorCarriesTheFailureOffset) {
 }
 
 TEST(JsonParse, ValidUtf8PassesThroughByteForByte) {
-  for (const std::string s :
+  for (const std::string& s :
        {std::string("caf\xC3\xA9"),                      // 2-byte é
         std::string("\xE2\x82\xAC" "1.50"),              // 3-byte €
         std::string("\xF0\x9F\x98\x80"),                 // 4-byte emoji

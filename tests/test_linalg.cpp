@@ -86,7 +86,7 @@ TEST_P(GemmShapes, TransposedVariantsMatchNaive) {
   gemm_nt(a, bt, out_nt);
   // Reference: a * bt^T
   Matrix b(k, n);
-  for (std::size_t i = 0; i < k; ++i) {
+  for (std::size_t i = 0; i < static_cast<std::size_t>(k); ++i) {
     for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j) {
       b(i, j) = bt(j, i);
     }

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 
 #include "nn/init.hpp"
@@ -245,6 +247,76 @@ TEST(MlpTest, GradientCheckThroughStack) {
     EXPECT_NEAR(grad_in.flat()[i], fd, 2e-2f * std::max(1.0f, std::abs(fd)));
   }
   (void)out;
+}
+
+// Every layer kind, with parameters moved off their defaults so LayerNorm's
+// gain/offset take part.
+Mlp every_layer_kind_net(std::size_t extra_linear, util::Rng& rng) {
+  Mlp mlp;
+  mlp.linear(6, 8, rng)
+      .activation(Activation::kReLU)
+      .linear(8, 8, rng)
+      .activation(Activation::kLeakyReLU, 0.1f)
+      .dropout(0.3f, rng)
+      .layer_norm(8)
+      .activation(Activation::kTanh)
+      .linear(8, 8, rng)
+      .activation(Activation::kSigmoid)
+      .linear(8, 5, rng)
+      .activation(Activation::kSiLU);
+  // An extra layer flips the parity of Mlp::infer's buffer alternation.
+  if (extra_linear > 0) mlp.linear(5, 5, rng);
+  for (Param* p : mlp.params()) {
+    for (float& v : p->value.flat()) v += 0.2f * static_cast<float>(rng.normal());
+  }
+  return mlp;
+}
+
+TEST(MlpTest, InferIsBitwiseEqualToEvalForward) {
+  for (std::size_t extra = 0; extra < 2; ++extra) {
+    util::Rng rng(11 + extra);
+    Mlp mlp = every_layer_kind_net(extra, rng);
+    linalg::Matrix out;
+    for (const std::size_t rows : {7u, 1u, 33u}) {
+      const auto in = random_matrix(rows, 6, rng, 2.0f);
+      mlp.infer(in, out);
+      const linalg::Matrix& ref = mlp.forward(in, /*train=*/false);
+      ASSERT_EQ(out.rows(), ref.rows());
+      ASSERT_EQ(out.cols(), ref.cols());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(out.flat()[i]),
+                  std::bit_cast<std::uint32_t>(ref.flat()[i]))
+            << "extra " << extra << " rows " << rows << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(MlpTest, InferLeavesTheTrainingCachesAlone) {
+  // forward(a) -> infer(b) -> backward must give the gradients of a alone.
+  util::Rng rng(12);
+  util::Rng twin_rng(12);
+  Mlp mlp = every_layer_kind_net(0, rng);
+  Mlp twin = every_layer_kind_net(0, twin_rng);
+  const auto a = random_matrix(4, 6, rng);
+  const auto b = random_matrix(9, 6, rng);
+  const auto w = random_matrix(4, 5, rng);
+
+  mlp.forward(a, /*train=*/false);
+  linalg::Matrix scratch_out;
+  mlp.infer(b, scratch_out);
+  mlp.zero_grad();
+  const linalg::Matrix grad = mlp.backward(w);
+
+  twin.forward(a, /*train=*/false);
+  twin.zero_grad();
+  EXPECT_TRUE(grad == twin.backward(w));
+  const auto ps = mlp.params();
+  const auto qs = twin.params();
+  ASSERT_EQ(ps.size(), qs.size());
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    EXPECT_TRUE(ps[i]->grad == qs[i]->grad) << "param " << i;
+  }
 }
 
 // ------------------------------------------------------------------ losses --

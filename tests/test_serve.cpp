@@ -55,6 +55,15 @@ tabular::Table cluster_table(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
+/// A job for model `key` with every other field at its default.
+SampleJob job_for(std::string key, std::size_t rows, std::uint64_t seed) {
+  SampleJob job;
+  job.model_key = std::move(key);
+  job.rows = rows;
+  job.seed = seed;
+  return job;
+}
+
 models::TrainBudget tiny_budget() {
   models::TrainBudget b;
   b.epochs = 4;
@@ -383,11 +392,11 @@ TEST(SampleService, CoalescesByModelAndDispatchesByPriority) {
   service.pause();
   std::vector<std::future<SampleResult>> low, high;
   for (std::size_t i = 0; i < 3; ++i) {
-    SampleJob job{"a", 100, 10 + i};
+    SampleJob job = job_for("a", 100, 10 + i);
     low.push_back(service.submit(std::move(job)));
   }
   for (std::size_t i = 0; i < 2; ++i) {
-    SampleJob job{"b", 100, 20 + i};
+    SampleJob job = job_for("b", 100, 20 + i);
     job.priority = 5;
     high.push_back(service.submit(std::move(job)));
   }
@@ -420,7 +429,7 @@ TEST(SampleService, CoalescesByModelAndDispatchesByPriority) {
   EXPECT_TRUE(std::isfinite(stats.p50_latency_ms));
 
   // Round two on resident models: every batch is a cache hit now.
-  auto again = service.submit(SampleJob{"a", 50, 1});
+  auto again = service.submit(job_for("a", 50, 1));
   EXPECT_TRUE(again.get().cache_hit);
 }
 
@@ -431,16 +440,16 @@ TEST(SampleService, ErrorsSurfaceOnTheFutureNotTheService) {
   host.register_archive("a", path);
   SampleService service(host);
 
-  auto bad = service.submit(SampleJob{"unknown", 100, 1});
+  auto bad = service.submit(job_for("unknown", 100, 1));
   EXPECT_THROW((void)bad.get(), std::invalid_argument);
   // The service keeps serving afterwards.
-  EXPECT_EQ(service.sample(SampleJob{"a", 80, 2}).num_rows(), 80u);
+  EXPECT_EQ(service.sample(job_for("a", 80, 2)).num_rows(), 80u);
   const auto stats = service.stats();
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.completed, 1u);
 
   // A zero-row job resolves to an empty table rather than erroring.
-  auto empty = service.submit(SampleJob{"a", 0, 3});
+  auto empty = service.submit(job_for("a", 0, 3));
   EXPECT_EQ(empty.get().table.num_rows(), 0u);
 }
 
@@ -482,7 +491,7 @@ TEST(SampleService, ShutdownDrainsQueuedJobs) {
   {
     SampleService service(host);
     service.pause();
-    pending = service.submit(SampleJob{"a", 120, 4});
+    pending = service.submit(job_for("a", 120, 4));
     // Destructor stops the dispatcher; stop overrides pause and drains.
   }
   EXPECT_EQ(pending.get().table.num_rows(), 120u);
@@ -601,10 +610,10 @@ TEST(AdmissionControl, RejectPolicyThrowsOverloadedAndKeepsServing) {
   SampleService service(host, cfg);
 
   service.pause();  // queue fills deterministically
-  auto f1 = service.submit(SampleJob{"a", 50, 1});
-  auto f2 = service.submit(SampleJob{"a", 50, 2});
+  auto f1 = service.submit(job_for("a", 50, 1));
+  auto f2 = service.submit(job_for("a", 50, 2));
   try {
-    (void)service.submit(SampleJob{"a", 50, 3});
+    (void)service.submit(job_for("a", 50, 3));
     FAIL() << "expected ServiceError";
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.code(), ServiceError::Code::kOverloaded);
@@ -615,7 +624,7 @@ TEST(AdmissionControl, RejectPolicyThrowsOverloadedAndKeepsServing) {
   EXPECT_EQ(f1.get().table.num_rows(), 50u);
   EXPECT_EQ(f2.get().table.num_rows(), 50u);
   // Space freed: the service admits again.
-  EXPECT_EQ(service.sample(SampleJob{"a", 50, 3}).num_rows(), 50u);
+  EXPECT_EQ(service.sample(job_for("a", 50, 3)).num_rows(), 50u);
   const auto stats = service.stats();
   EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.rejected, 1u);
@@ -634,9 +643,9 @@ TEST(AdmissionControl, RowBoundAppliesButEmptyQueueAlwaysAdmits) {
 
   service.pause();
   // 400 rows > the 100-row bound, but the queue is empty: admitted.
-  auto big = service.submit(SampleJob{"a", 400, 1});
+  auto big = service.submit(job_for("a", 400, 1));
   // Now the backlog is over the row bound: the next job is rejected.
-  EXPECT_THROW((void)service.submit(SampleJob{"a", 10, 2}), ServiceError);
+  EXPECT_THROW((void)service.submit(job_for("a", 10, 2)), ServiceError);
   EXPECT_EQ(service.stats().queued_rows, 400u);
   service.resume();
   EXPECT_EQ(big.get().table.num_rows(), 400u);
@@ -654,11 +663,11 @@ TEST(AdmissionControl, BlockPolicyBackpressuresUntilSpaceFrees) {
   SampleService service(host, cfg);
 
   service.pause();
-  auto f1 = service.submit(SampleJob{"a", 60, 1});
+  auto f1 = service.submit(job_for("a", 60, 1));
   std::atomic<bool> admitted{false};
   std::future<SampleResult> f2;
   std::thread submitter([&] {
-    f2 = service.submit(SampleJob{"a", 60, 2});  // blocks: queue is full
+    f2 = service.submit(job_for("a", 60, 2));  // blocks: queue is full
     admitted.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -686,11 +695,11 @@ TEST(AdmissionControl, CancelWhileBlockedAtAdmissionResolvesCancelled) {
   SampleService service(host, cfg);
 
   service.pause();
-  auto occupying = service.submit_job(SampleJob{"a", 60, 1});
+  auto occupying = service.submit_job(job_for("a", 60, 1));
   std::atomic<bool> returned{false};
   Submitted blocked;
   std::thread submitter([&] {
-    blocked = service.submit_job(SampleJob{"a", 60, 2});  // queue is full
+    blocked = service.submit_job(job_for("a", 60, 2));  // queue is full
     returned.store(true);
   });
   // submit_job publishes the id + cancel flag under the lock *before*
@@ -731,15 +740,15 @@ TEST(AdmissionControl, ShedPolicyDropsLowestPriorityIncludingIncoming) {
   SampleService service(host, cfg);
 
   service.pause();
-  SampleJob low{"a", 40, 1};
+  SampleJob low = job_for("a", 40, 1);
   low.priority = 0;
   auto low_future = service.submit(low);
-  SampleJob mid{"a", 40, 2};
+  SampleJob mid = job_for("a", 40, 2);
   mid.priority = 3;
   auto mid_future = service.submit(mid);
 
   // Queue full. A higher-priority job displaces the weakest queued one.
-  SampleJob high{"a", 40, 3};
+  SampleJob high = job_for("a", 40, 3);
   high.priority = 5;
   auto high_future = service.submit(high);
   try {
@@ -751,7 +760,7 @@ TEST(AdmissionControl, ShedPolicyDropsLowestPriorityIncludingIncoming) {
 
   // An incoming job weaker than everything queued is itself shed — ties
   // shed the newcomer too.
-  SampleJob weak{"a", 40, 4};
+  SampleJob weak = job_for("a", 40, 4);
   weak.priority = 3;  // ties mid's priority -> newcomer loses
   try {
     (void)service.submit(weak);
@@ -786,13 +795,13 @@ TEST(AdmissionControl, VictimsShedBeforeIncomingLosesStillGetShedError) {
   SampleService service(host, cfg);
 
   service.pause();
-  SampleJob a{"a", 10, 1};
+  SampleJob a = job_for("a", 10, 1);
   a.priority = 1;
   auto fa = service.submit(a);
-  SampleJob b{"a", 80, 2};
+  SampleJob b = job_for("a", 80, 2);
   b.priority = 5;
   auto fb = service.submit(b);  // 90 rows queued: under the bound
-  SampleJob c{"a", 80, 3};
+  SampleJob c = job_for("a", 80, 3);
   c.priority = 3;  // outranks a, loses to b
   try {
     (void)service.submit(c);  // sheds a, then b blocks c -> c is shed
@@ -821,10 +830,10 @@ TEST(Deadlines, QueuedJobPastDeadlineFailsAtDispatch) {
   SampleService service(host);
 
   service.pause();
-  SampleJob doomed{"a", 80, 1};
+  SampleJob doomed = job_for("a", 80, 1);
   doomed.deadline_ms = 5.0;
   auto doomed_future = service.submit(doomed);
-  auto fine_future = service.submit(SampleJob{"a", 80, 2});  // no deadline
+  auto fine_future = service.submit(job_for("a", 80, 2));  // no deadline
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   service.resume();
   try {
@@ -850,7 +859,7 @@ TEST(Deadlines, MidSamplingExpiryUnwindsAtChunkBoundary) {
   // Serial chunks (threads=1) with a progress hook that burns past the
   // deadline after the first chunk: the next chunk-boundary check must
   // kill the job and discard its partial output.
-  SampleJob job{"a", 200, 7};
+  SampleJob job = job_for("a", 200, 7);
   job.chunk_rows = 50;  // 4 chunks
   job.threads = 1;
   job.deadline_ms = 40.0;
@@ -868,7 +877,7 @@ TEST(Deadlines, MidSamplingExpiryUnwindsAtChunkBoundary) {
   }
   EXPECT_EQ(service.stats().deadline_missed, 1u);
   // The service keeps serving (the batch unwound cleanly).
-  EXPECT_EQ(service.sample(SampleJob{"a", 60, 8}).num_rows(), 60u);
+  EXPECT_EQ(service.sample(job_for("a", 60, 8)).num_rows(), 60u);
 }
 
 TEST(Cancellation, QueuedJobCancelsImmediately) {
@@ -879,7 +888,7 @@ TEST(Cancellation, QueuedJobCancelsImmediately) {
   SampleService service(host);
 
   service.pause();
-  auto submitted = service.submit_job(SampleJob{"a", 80, 1});
+  auto submitted = service.submit_job(job_for("a", 80, 1));
   EXPECT_TRUE(service.cancel(submitted.job_id));
   try {
     (void)submitted.future.get();
@@ -908,7 +917,7 @@ TEST(Cancellation, InFlightJobStopsAtNextChunkBoundary) {
   // boundary check runs after the flag is set.
   std::atomic<std::uint64_t> job_id{0};
   std::atomic<bool> requested{false};
-  SampleJob job{"a", 400, 9};
+  SampleJob job = job_for("a", 400, 9);
   job.chunk_rows = 50;  // 8 chunks
   job.threads = 1;
   job.on_progress = [&](std::size_t /*done*/, std::size_t /*total*/) {
@@ -929,7 +938,7 @@ TEST(Cancellation, InFlightJobStopsAtNextChunkBoundary) {
   }
   EXPECT_EQ(service.stats().cancelled, 1u);
   // Later jobs are untouched.
-  EXPECT_EQ(service.sample(SampleJob{"a", 70, 10}).num_rows(), 70u);
+  EXPECT_EQ(service.sample(job_for("a", 70, 10)).num_rows(), 70u);
 }
 
 TEST(OverloadShutdown, DestructionMidOverloadReleasesBlockedSubmitters) {
@@ -947,10 +956,10 @@ TEST(OverloadShutdown, DestructionMidOverloadReleasesBlockedSubmitters) {
     cfg.max_queue_depth = 1;
     SampleService service(host, cfg);
     service.pause();
-    queued = service.submit(SampleJob{"a", 90, 1});
+    queued = service.submit(job_for("a", 90, 1));
     blocked = std::thread([&] {
       try {
-        (void)service.submit(SampleJob{"a", 90, 2});
+        (void)service.submit(job_for("a", 90, 2));
       } catch (const std::logic_error&) {
         threw.store(true);  // shutdown released the blocked submit
       }
@@ -984,10 +993,10 @@ TEST(HostFaultInjection, InjectedLoadFailureSurfacesAndThenRecovers) {
   host.evict_idle();
   host.inject_faults({.load_delay_ms = 0.0, .fail_loads = 1});
   SampleService service(host);
-  auto doomed = service.submit(SampleJob{"a", 50, 1});
+  auto doomed = service.submit(job_for("a", 50, 1));
   EXPECT_THROW((void)doomed.get(), std::runtime_error);
   EXPECT_EQ(service.stats().failed, 1u);
-  EXPECT_EQ(service.sample(SampleJob{"a", 50, 2}).num_rows(), 50u);
+  EXPECT_EQ(service.sample(job_for("a", 50, 2)).num_rows(), 50u);
 }
 
 TEST(HostFaultInjection, LeaseStaysDeterministicAcrossEvictReloadEvict) {
